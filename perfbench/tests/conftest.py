@@ -1,0 +1,12 @@
+"""Put the benchmark modules and the program source on the path.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
+sys.path.insert(0, BENCH)
