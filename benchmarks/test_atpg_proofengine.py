@@ -45,6 +45,7 @@ GATED_COUNTERS = (
     "podem_backtracks",
     "sat_proofs",
     "tseitin_builds",
+    "podem_implication_evals",
 )
 
 #: Default-configuration rows: the honest Table I cleanup setting.

@@ -2,20 +2,28 @@
 
 A complete branch-and-bound over primary-input assignments: objectives
 are backtraced to PIs, candidate assignments are validated by 5-valued
-implication (:func:`repro.sim.dcalc.simulate5`), and exhaustion of the
-PI space proves a fault *untestable* -- exactly the redundancy
-identification the paper relies on ("the single stuck-at-0 fault on the
-output of the gate 10 is not testable").
+implication, and exhaustion of the PI space proves a fault *untestable*
+-- exactly the redundancy identification the paper relies on ("the
+single stuck-at-0 fault on the output of the gate 10 is not testable").
 
-The implementation favours clarity over constant-factor speed: every
-implication is a full composite resimulation.  The SAT-based engine
-(:mod:`repro.atpg.satatpg`) provides an independent oracle; both are
-cross-checked in the test suite.
+Implication is event-driven.  Each :class:`Podem` instance lowers its
+circuit once into a flat view indexed by topological position and
+caches the all-X state.  A fault is injected by propagating from its
+site; assigning a PI re-evaluates only the gates of its fanout cone
+whose inputs changed, in topological order, and records every
+overwritten value on a trail that a backtrack pops back to the
+decision's mark.  The search itself -- objective, backtrace, decision
+order, backtracks -- is the textbook one, so the outcome of a run is
+the same as with a full resimulation per decision;
+:func:`repro.sim.dcalc.simulate5` is the oracle the implication state
+is checked against in the test suite, and the SAT-based engine
+(:mod:`repro.atpg.satatpg`) independently cross-checks the verdicts.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -25,9 +33,72 @@ from ..network import (
     has_controlling_value,
     noncontrolling_value,
 )
-from ..sim import X, simulate5
-from ..sim.dcalc import is_d_or_dbar
+# simulate5 is not called here; it stays bound in this module because
+# perfbench's layer tracer patches ``podem.simulate5``
+from ..sim import X, simulate5  # noqa: F401
+from ..sim.opcodes import (
+    OP_AND,
+    OP_BUF,
+    OP_CONST0,
+    OP_CONST1,
+    OP_INPUT,
+    OP_NAND,
+    OP_NOR,
+    OP_NOT,
+    OP_OR,
+    OP_XNOR,
+    OP_XOR,
+    OPCODE,
+)
 from .faults import CONN, Fault
+
+# ---------------------------------------------------------------------- #
+# packed composite values
+# ---------------------------------------------------------------------- #
+# One rail (good or faulty) is two bits: bit 0 "can be 1", bit 1 "can be
+# 0", so 1 -> 0b01, 0 -> 0b10 and X -> 0b11.  A composite value packs
+# the good rail in bits 0-1 and the faulty rail in bits 2-3; in this
+# encoding AND/OR over both rails at once is one bitwise reduction.
+
+_RAIL = {1: 1, 0: 2, X: 3}
+_ONE, _ZERO, _XX = 5, 10, 15
+_D, _DBAR = 9, 6
+_CAN1 = 5   # "can be 1" bits of both rails
+_CAN0 = 10  # "can be 0" bits of both rails
+
+
+def _invert(word: int) -> int:
+    return (word & _CAN1) << 1 | (word & _CAN0) >> 1
+
+
+def _eval_word(op: int, words) -> int:
+    """Evaluate one gate over packed composite input words."""
+    if op == OP_AND or op == OP_NAND or op == OP_OR or op == OP_NOR:
+        every, some = 15, 0
+        for w in words:
+            every &= w
+            some |= w
+        if op == OP_AND or op == OP_NAND:
+            out = every & _CAN1 | some & _CAN0
+            return out if op == OP_AND else _invert(out)
+        out = some & _CAN1 | every & _CAN0
+        return out if op == OP_OR else _invert(out)
+    if op == OP_BUF:
+        return words[0]
+    if op == OP_NOT:
+        return _invert(words[0])
+    if op == OP_XOR or op == OP_XNOR:
+        acc = _ZERO
+        for w in words:
+            a1, a0 = acc & _CAN1, acc >> 1 & _CAN1
+            b1, b0 = w & _CAN1, w >> 1 & _CAN1
+            acc = (a1 & b0 | a0 & b1) | (a0 & b0 | a1 & b1) << 1
+        return acc if op == OP_XOR else _invert(acc)
+    if op == OP_CONST0:
+        return _ZERO
+    if op == OP_CONST1:
+        return _ONE
+    raise ValueError(f"cannot evaluate opcode {op}")
 
 
 class Status(enum.Enum):
@@ -53,8 +124,10 @@ class PodemResult:
 class Podem:
     """PODEM engine bound to one circuit.
 
-    Reuse one instance for a whole fault list; per-fault state is local
-    to :meth:`generate`.
+    Reuse one instance for a whole fault list: the flat view of the
+    circuit is built once, on the first :meth:`generate`, and per-fault
+    state is reset by every call.  The circuit must not change while
+    the instance is in use.
     """
 
     def __init__(self, circuit: Circuit, backtrack_limit: int = 20000):
@@ -62,142 +135,302 @@ class Podem:
         self.backtrack_limit = backtrack_limit
         #: accumulated over every :meth:`generate` call on this instance;
         #: telemetry surfaces these as ``podem_calls`` /
-        #: ``podem_backtracks`` / ``podem_aborts``.
-        self.stats = {"calls": 0, "backtracks": 0, "aborts": 0}
+        #: ``podem_backtracks`` / ``podem_aborts`` /
+        #: ``podem_implication_evals`` (gates evaluated by implication).
+        self.stats = {
+            "calls": 0, "backtracks": 0, "aborts": 0,
+            "implication_evals": 0,
+        }
+        # the flat view, built by _lower on the first generate
+        self._gid: Optional[List[int]] = None
+        # per-fault state (set by _inject)
+        self._vals: List[int] = []
+        self._trail: List[Tuple[int, int]] = []
+        self._decisions: List[Tuple[int, int, bool, int]] = []
+        self._stem = -1      # position whose output is stuck, or -1
+        self._pin_dst = -1   # position whose input pin is stuck, or -1
+        self._pin = -1       # that pin's index
+        self._stuck = 0      # stuck value on the faulty rail (bits 2-3)
+        self._site = -1      # position whose good value excites the fault
+        self._excite = 0     # the good value that excites it
+        self._cone: List[int] = []
+        self._cone_outputs: List[int] = []
+
+    # -- the flat view ----------------------------------------------------#
+
+    def _lower(self) -> None:
+        """Build the flat view: per topological position the opcode,
+        fanin and fanout positions, depth, SCOAP controllability, and
+        the fault-free all-X state every fault starts from."""
+        gates, conns = self.circuit.gates, self.circuit.conns
+        order = self.circuit.topological_order()
+        pos = {gid: i for i, gid in enumerate(order)}
+        self._gid = order
+        self._pos = pos
+        self._op = [OPCODE[gates[g].gtype] for g in order]
+        self._fanin = [
+            tuple(pos[conns[c].src] for c in gates[g].fanin) for g in order
+        ]
+        self._fanout = [
+            tuple(pos[conns[c].dst] for c in gates[g].fanout) for g in order
+        ]
+        self._is_output = [
+            gates[g].gtype is GateType.OUTPUT for g in order
+        ]
+        # gates-dict order, which breaks D-frontier depth ties
+        rank = {gid: i for i, gid in enumerate(gates)}
+        self._rank = [rank[g] for g in order]
         # static order: prefer objectives closer to outputs
-        self._depth: Dict[int, int] = {}
-        for gid in circuit.topological_order():
-            preds = [
-                self._depth[src] for src in circuit.fanin_gates(gid)
-            ]
-            self._depth[gid] = 1 + max(preds, default=0)
+        depth: List[int] = []
+        for p in range(len(order)):
+            depth.append(1 + max((depth[q] for q in self._fanin[p]),
+                                 default=0))
+        self._depth = depth
+        # the value a propagation objective asks of a frontier gate's
+        # X inputs: noncontrolling where there is one, else 1
+        self._want = [
+            noncontrolling_value(gates[g].gtype)
+            if has_controlling_value(gates[g].gtype)
+            else 1
+            for g in order
+        ]
+        self._pi_pos = [pos[g] for g in self.circuit.inputs]
         # SCOAP controllability steers backtrace toward easy inputs
         from .scoap import compute_scoap
 
-        self._scoap = compute_scoap(circuit)
-
-    # -- fault-specific helpers ----------------------------------------- #
-
-    def _site_gate(self, fault: Fault) -> int:
-        """The gate whose *good* value must differ from the stuck value."""
-        if fault.kind == CONN:
-            return self.circuit.conns[fault.site].src
-        return fault.site
-
-    def _simulate(
-        self, fault: Fault, assignment: Dict[int, Tuple]
-    ) -> Dict[int, Tuple]:
-        if fault.kind == CONN:
-            return simulate5(
-                self.circuit,
-                assignment,
-                fault_conn=fault.site,
-                stuck_value=fault.value,
-            )
-        return simulate5(
-            self.circuit,
-            assignment,
-            fault_gate=fault.site,
-            stuck_value=fault.value,
+        scoap = compute_scoap(self.circuit)
+        self._cc = (
+            [scoap.cc0[g] for g in order], [scoap.cc1[g] for g in order]
         )
+        base: List[int] = []
+        for op, fanin in zip(self._op, self._fanin):
+            if op == OP_INPUT:
+                base.append(_XX)
+            else:
+                base.append(_eval_word(op, [base[q] for q in fanin]))
+        self._base = base
+        self._queued = bytearray(len(order))
 
-    def _d_frontier(self, fault: Fault, values: Dict[int, Tuple]) -> List[int]:
-        """Gates with a fault effect on some input and X on the output."""
-        frontier = []
-        for gid, gate in self.circuit.gates.items():
-            val = values[gid]
-            if val[0] != X and val[1] != X:
+    # -- implication ------------------------------------------------------#
+
+    def _inject(self, fault: Fault) -> None:
+        """Reset to the all-X state and propagate ``fault`` from its
+        site through its fanout cone."""
+        if self._gid is None:
+            self._lower()
+        self._stuck = _RAIL[fault.value] << 2
+        self._excite = 1 - fault.value
+        self._vals = list(self._base)
+        self._decisions = []
+        if fault.kind == CONN:
+            conn = self.circuit.conns[fault.site]
+            self._stem = -1
+            self._pin_dst = anchor = self._pos[conn.dst]
+            self._pin = self.circuit.gates[conn.dst].fanin.index(fault.site)
+            self._site = self._pos[conn.src]
+        else:
+            self._stem = anchor = self._site = self._pos[fault.site]
+            self._pin_dst = self._pin = -1
+        cone = {anchor}
+        stack = [anchor]
+        fanout = self._fanout
+        while stack:
+            for q in fanout[stack.pop()]:
+                if q not in cone:
+                    cone.add(q)
+                    stack.append(q)
+        self._cone = sorted(cone, key=self._rank.__getitem__)
+        self._cone_outputs = [p for p in cone if self._is_output[p]]
+        self._trail = []
+        if self._stem >= 0:
+            self._write(anchor, self._vals[anchor] & 3 | self._stuck)
+        else:
+            self._queued[anchor] = 1
+            self._propagate([anchor])
+        self._trail.clear()  # the injected state is the search's root
+
+    def _assign(self, pi: int, value: int) -> None:
+        """Set the PI at position ``pi`` and imply its fanout cone."""
+        word = _ONE if value else _ZERO
+        if pi == self._stem:
+            word = word & 3 | self._stuck
+        self._write(pi, word)
+
+    def _undo(self, mark: int) -> None:
+        """Pop the trail back to ``mark``, restoring every value."""
+        trail, vals = self._trail, self._vals
+        for p, old in reversed(trail[mark:]):
+            vals[p] = old
+        del trail[mark:]
+
+    def _write(self, p: int, word: int) -> None:
+        """Overwrite a source position and imply its fanout."""
+        old = self._vals[p]
+        if word == old:
+            return
+        self._trail.append((p, old))
+        self._vals[p] = word
+        heap = []
+        queued = self._queued
+        for q in self._fanout[p]:
+            if not queued[q]:
+                queued[q] = 1
+                heap.append(q)
+        heapq.heapify(heap)
+        self._propagate(heap)
+
+    def _propagate(self, heap: List[int]) -> None:
+        """Re-evaluate queued gates in topological order; a gate whose
+        value does not change queues nothing."""
+        vals, trail, queued = self._vals, self._trail, self._queued
+        ops, fanin, fanout = self._op, self._fanin, self._fanout
+        stem, pin_dst = self._stem, self._pin_dst
+        heappop, heappush = heapq.heappop, heapq.heappush
+        evals = 0
+        while heap:
+            p = heappop(heap)
+            queued[p] = 0
+            evals += 1
+            op = ops[p]
+            if p == pin_dst:
+                words = [vals[q] for q in fanin[p]]
+                words[self._pin] = words[self._pin] & 3 | self._stuck
+                word = _eval_word(op, words)
+            elif OP_AND <= op <= OP_NOR:
+                # the simple gates inline, the rest through _eval_word
+                every, some = 15, 0
+                for q in fanin[p]:
+                    w = vals[q]
+                    every &= w
+                    some |= w
+                if op == OP_AND:
+                    word = every & _CAN1 | some & _CAN0
+                elif op == OP_OR:
+                    word = some & _CAN1 | every & _CAN0
+                elif op == OP_NAND:
+                    word = (every & _CAN1) << 1 | (some & _CAN0) >> 1
+                else:
+                    word = (some & _CAN1) << 1 | (every & _CAN0) >> 1
+            elif op == OP_NOT:
+                w = vals[fanin[p][0]]
+                word = (w & _CAN1) << 1 | (w & _CAN0) >> 1
+            else:
+                word = _eval_word(op, [vals[q] for q in fanin[p]])
+            if p == stem:
+                word = word & 3 | self._stuck
+            old = vals[p]
+            if word == old:
                 continue
-            for cid in gate.fanin:
-                v = values[self.circuit.conns[cid].src]
-                if fault.kind == CONN and cid == fault.site:
-                    v = (v[0], fault.value)
-                if is_d_or_dbar(v):
-                    frontier.append(gid)
-                    break
+            trail.append((p, old))
+            vals[p] = word
+            for q in fanout[p]:
+                if not queued[q]:
+                    queued[q] = 1
+                    heappush(heap, q)
+        self.stats["implication_evals"] += evals
+
+    # -- frontier and checks ----------------------------------------------#
+
+    def _d_frontier(self) -> List[int]:
+        """Cone gates with a fault effect on some input and X on the
+        output, in gates-dict order."""
+        vals, fanin = self._vals, self._fanin
+        frontier = []
+        for p in self._cone:
+            v = vals[p]
+            if v & 3 != 3 and v < 12:
+                continue  # both rails known
+            words = [vals[q] for q in fanin[p]]
+            if p == self._pin_dst:
+                words[self._pin] = words[self._pin] & 3 | self._stuck
+            if _D in words or _DBAR in words:
+                frontier.append(p)
         return frontier
 
-    def _x_path_exists(self, frontier: List[int], values) -> bool:
+    def _x_path_exists(self, frontier: List[int]) -> bool:
         """Is there a path from some frontier gate to a PO along gates
         whose output is still undetermined (X in either component)?"""
+        vals, fanout, is_output = self._vals, self._fanout, self._is_output
         seen = set()
         stack = list(frontier)
         while stack:
-            gid = stack.pop()
-            if gid in seen:
+            p = stack.pop()
+            if p in seen:
                 continue
-            seen.add(gid)
-            gate = self.circuit.gates[gid]
-            if gate.gtype is GateType.OUTPUT:
+            seen.add(p)
+            if is_output[p]:
                 return True
-            for dst in self.circuit.fanout_gates(gid):
-                v = values[dst]
-                if v[0] == X or v[1] == X or is_d_or_dbar(v):
-                    stack.append(dst)
+            for q in fanout[p]:
+                v = vals[q]
+                if v != _ONE and v != _ZERO:
+                    stack.append(q)
         return False
+
+    def _check(self) -> Tuple[Optional[bool], Optional[List[int]]]:
+        """(outcome, D-frontier): outcome True = detected, False =
+        provably impossible here, None = open.  The frontier is
+        computed only once the fault is excited, and handed on to
+        :meth:`_objective`."""
+        vals = self._vals
+        for p in self._cone_outputs:
+            if vals[p] == _D or vals[p] == _DBAR:
+                return True, None
+        good = vals[self._site] & 3
+        if good == 3:
+            return None, None
+        if good != _RAIL[self._excite]:
+            return False, None  # fault can never be excited here
+        frontier = self._d_frontier()
+        if not frontier or not self._x_path_exists(frontier):
+            return False, None
+        return None, frontier
 
     # -- objective and backtrace ----------------------------------------#
 
     def _objective(
-        self, fault: Fault, values: Dict[int, Tuple]
+        self, frontier: Optional[List[int]]
     ) -> Optional[Tuple[int, int]]:
-        """(gate gid, desired good value) or None when stuck."""
-        site = self._site_gate(fault)
-        sv = values[site]
-        if sv[0] == X:
-            return (site, 1 - fault.value)  # activate the fault
-        frontier = self._d_frontier(fault, values)
-        if not frontier:
-            return None
+        """(position, desired good value) or None when stuck."""
+        if frontier is None:
+            # activate the fault
+            return (self._site, self._excite)
         # propagate through the frontier gate closest to an output
-        frontier.sort(key=lambda g: -self._depth[g])
-        gate = self.circuit.gates[frontier[0]]
-        ncv = (
-            noncontrolling_value(gate.gtype)
-            if has_controlling_value(gate.gtype)
-            else None
-        )
-        for cid in gate.fanin:
-            src = self.circuit.conns[cid].src
-            if values[src][0] == X:
-                want = ncv if ncv is not None else 1
-                return (src, want)
+        # (max keeps the first of equal depths, in gates-dict order)
+        gate = max(frontier, key=self._depth.__getitem__)
+        vals = self._vals
+        for q in self._fanin[gate]:
+            if vals[q] & 3 == 3:
+                return (q, self._want[gate])
         return None
 
     def _backtrace(
-        self, objective: Tuple[int, int], values: Dict[int, Tuple]
+        self, objective: Tuple[int, int]
     ) -> Optional[Tuple[int, int]]:
         """Walk an objective back to an unassigned PI.
 
         Classic inversion-parity walk: request value v on a gate; on
         AND/OR/BUF ask v of an X input, on NAND/NOR/NOT ask 1-v.
         """
-        gid, value = objective
+        p, value = objective
+        vals, ops, fanin = self._vals, self._op, self._fanin
         guard = 0
         while True:
             guard += 1
-            if guard > len(self.circuit.gates) + 2:
+            if guard > len(ops) + 2:
                 return None  # cycle-proof; cannot happen in a DAG
-            gate = self.circuit.gates[gid]
-            if gate.gtype is GateType.INPUT:
-                return (gid, value)
-            if gate.gtype in (GateType.CONST0, GateType.CONST1):
+            op = ops[p]
+            if op == OP_INPUT:
+                return (p, value)
+            if op == OP_CONST0 or op == OP_CONST1:
                 return None
-            if gate.gtype in (GateType.NOT, GateType.NAND, GateType.NOR):
+            if op == OP_NOT or op == OP_NAND or op == OP_NOR:
                 value = 1 - value
-            x_pins = [
-                self.circuit.conns[cid].src
-                for cid in gate.fanin
-                if values[self.circuit.conns[cid].src][0] == X
-            ]
+            x_pins = [q for q in fanin[p] if vals[q] & 3 == 3]
             if not x_pins:
                 return None
             # easiest-first: pick the X input with the lowest SCOAP
             # controllability toward the requested value
-            gid = min(
-                x_pins,
-                key=lambda g: self._scoap.controllability(g, value),
-            )
+            p = min(x_pins, key=self._cc[value].__getitem__)
 
     # -- the search ------------------------------------------------------#
 
@@ -210,21 +443,24 @@ class Podem:
             self.stats["aborts"] += 1
         return result
 
+    def _decide(self, pi: int, value: int, flipped: bool) -> None:
+        self._decisions.append((pi, value, flipped, len(self._trail)))
+        self._assign(pi, value)
+
     def _generate(self, fault: Fault) -> PodemResult:
-        assignment: Dict[int, Tuple] = {}
-        decisions: List[Tuple[int, int, bool]] = []  # (pi, value, flipped)
+        self._inject(fault)
+        decisions = self._decisions  # (pi, value, flipped, trail mark)
         backtracks = 0
 
         while True:
-            values = self._simulate(fault, assignment)
-            outcome = self._check(fault, values)
+            outcome, frontier = self._check()
             if outcome is True:
-                test = {pi: v[0] for pi, v in assignment.items()}
+                test = {self._gid[pi]: v for pi, v, _, _ in decisions}
                 return PodemResult(Status.TESTABLE, test, backtracks)
             if outcome is None:
-                objective = self._objective(fault, values)
+                objective = self._objective(frontier)
                 target = (
-                    self._backtrace(objective, values)
+                    self._backtrace(objective)
                     if objective is not None
                     else None
                 )
@@ -234,51 +470,31 @@ class Podem:
                     # space (e.g. the D-frontier is X only in the faulty
                     # component).  Decide any unassigned PI instead of
                     # declaring a dead end.
+                    assigned = {d[0] for d in decisions}
                     target = next(
                         (
                             (pi, 0)
-                            for pi in self.circuit.inputs
-                            if pi not in assignment
+                            for pi in self._pi_pos
+                            if pi not in assigned
                         ),
                         None,
                     )
                 if target is not None:
-                    pi, value = target
-                    decisions.append((pi, value, False))
-                    assignment[pi] = (value, value)
+                    self._decide(target[0], target[1], False)
                     continue
                 # every PI assigned and still undetected: dead end
             # outcome is False (or dead end): backtrack
             while decisions:
-                pi, value, flipped = decisions.pop()
-                del assignment[pi]
+                pi, value, flipped, mark = decisions.pop()
+                self._undo(mark)
                 if not flipped:
                     backtracks += 1
                     if backtracks > self.backtrack_limit:
                         return PodemResult(Status.ABORTED, None, backtracks)
-                    newv = 1 - value
-                    decisions.append((pi, newv, True))
-                    assignment[pi] = (newv, newv)
+                    self._decide(pi, 1 - value, True)
                     break
             else:
                 return PodemResult(Status.UNTESTABLE, None, backtracks)
-
-    def _check(self, fault: Fault, values) -> Optional[bool]:
-        """True = detected, False = provably impossible here, None = open."""
-        for po in self.circuit.outputs:
-            if is_d_or_dbar(values[po]):
-                return True
-        site = self._site_gate(fault)
-        good = values[site][0]
-        if good != X and good == fault.value:
-            return False  # fault can never be excited under this prefix
-        if good != X:
-            frontier = self._d_frontier(fault, values)
-            if not frontier:
-                return False
-            if not self._x_path_exists(frontier, values):
-                return False
-        return None
 
 
 def generate_test(

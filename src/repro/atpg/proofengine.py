@@ -91,6 +91,7 @@ PROOF_COUNTERS = (
     "podem_calls",
     "podem_backtracks",
     "podem_aborts",
+    "podem_implication_evals",
     "learned_kept",
     "learned_dropped",
 )
@@ -268,9 +269,13 @@ class ProofEngine:
     ) -> str:
         """PODEM stage for one unresolved fault; testable witnesses are
         fed back to drop other suspects."""
+        evals = podem.stats["implication_evals"]
         result = podem.generate(fault)
         self.counters["podem_calls"] += 1
         self.counters["podem_backtracks"] += result.backtracks
+        self.counters["podem_implication_evals"] += (
+            podem.stats["implication_evals"] - evals
+        )
         if result.status is Status.UNTESTABLE:
             verdict = PODEM_UNTESTABLE
         elif result.status is Status.ABORTED:

@@ -141,6 +141,7 @@ def _next_redundant_scratch(
     counters["podem_calls"] += podem.stats["calls"]
     counters["podem_backtracks"] += podem.stats["backtracks"]
     counters["podem_aborts"] += podem.stats["aborts"]
+    counters["podem_implication_evals"] += podem.stats["implication_evals"]
     if fault is None and hard:
         engine = SatAtpg(work)
         counters["tseitin_builds"] += 1

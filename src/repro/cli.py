@@ -217,7 +217,11 @@ def cmd_atpg(args) -> int:
     report = fault_coverage(circuit, faults, vectors, compiled=compiled)
     podem = Podem(circuit)
     generated = 0
+    # a proven-redundant fault has no test: skip its (budget-bound) search
+    proven = set(redundant)
     for fault in report.undetected_faults:
+        if fault in proven:
+            continue
         result = podem.generate(fault)
         if result.status is Status.TESTABLE:
             vectors.append(

@@ -69,7 +69,9 @@ witness through the compiled kernel), ``cnf_reuses`` /
 ``tseitin_builds`` (epoch SAT solvers reused vs freshly encoded),
 ``sat_proofs`` (assumption-gated SAT qualifications),
 ``podem_calls`` / ``podem_backtracks`` / ``podem_aborts`` (branch-and-
-bound effort and budget exhaustions), and ``learned_kept`` /
+bound effort and budget exhaustions), ``podem_implication_evals``
+(gate evaluations made by PODEM's event-driven implication), and
+``learned_kept`` /
 ``learned_dropped`` (epoch-solver learned-clause retention).  Exact
 functions of circuit + seed, gated by
 ``benchmarks/compare_baseline.py`` against the committed

@@ -138,13 +138,33 @@ def _build_combinational(parsed: dict, gate_delay: float) -> Circuit:
         for t in progressed:
             remaining.remove(t)
         if not progressed:
-            missing = {n for t in remaining for n in t[0] if n not in signal}
-            raise BlifError(f"undriven signals: {sorted(missing)}")
+            _raise_unresolved(remaining, signal)
     for name in outputs:
         if name not in signal:
             raise BlifError(f"output {name} is undriven")
         b.output(name, signal[name])
     return b.done()
+
+
+def _raise_unresolved(tables, signal: Dict[str, int]) -> None:
+    """No remaining table can be lowered: report the signals nothing
+    drives or, when every blocked input is some table's output, the
+    combinational cycle that blocks them."""
+    fanin_of = {out: ins for ins, out, _ in tables}
+    missing = {n for ins, _, _ in tables for n in ins if n not in signal}
+    if missing - set(fanin_of):
+        raise BlifError(f"undriven signals: {sorted(missing)}")
+    # every blocked table waits on another blocked table: walking from
+    # one to the next must come back to a signal already on the walk
+    walk = [tables[0][1]]
+    while True:
+        nxt = next(n for n in fanin_of[walk[-1]] if n not in signal)
+        if nxt in walk:
+            cycle = walk[walk.index(nxt):]
+            raise BlifError(
+                f"combinational cycle through signals: {cycle}"
+            )
+        walk.append(nxt)
 
 
 def parse_blif_sequential(text: str, gate_delay: float = 1.0):

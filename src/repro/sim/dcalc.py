@@ -7,8 +7,9 @@ A composite value is a pair (good, faulty), each in {0, 1, X}:
 
 A stuck-at fault is *detected* at a primary output when the output carries
 D or D' -- the good and faulty machines disagree.  PODEM
-(:mod:`repro.atpg.podem`) simulates the composite circuit with these
-values.
+(:mod:`repro.atpg.podem`) keeps the composite state of the circuit
+incrementally; :func:`simulate5` is the from-scratch oracle its
+implication is tested against.
 """
 
 from __future__ import annotations

@@ -92,6 +92,26 @@ class TestParse:
                 ".model m\n.inputs a\n.outputs y\n.names ghost y\n1 1\n"
             )
 
+    def test_undriven_signal_message(self):
+        with pytest.raises(BlifError, match=r"undriven signals: \['ghost'\]"):
+            parse_blif(
+                ".model m\n.inputs a\n.outputs y\n.names ghost y\n1 1\n"
+            )
+
+    def test_combinational_cycle_names_its_signals(self):
+        text = (
+            ".model m\n.inputs a\n.outputs z\n"
+            ".names a y x\n11 1\n"
+            ".names x y\n1 1\n"
+            ".names x z\n1 1\n.end\n"
+        )
+        with pytest.raises(BlifError) as info:
+            parse_blif(text)
+        message = str(info.value)
+        assert "cycle" in message and "undriven" not in message
+        assert "'x'" in message and "'y'" in message
+        assert "'z'" not in message and "'a'" not in message
+
     def test_line_continuation(self):
         text = ".model m\n.inputs a \\\nb\n.outputs y\n.names a b y\n11 1\n"
         c = parse_blif(text)

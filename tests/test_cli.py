@@ -56,6 +56,50 @@ def test_atpg_command(csa_blif, capsys):
     assert "fault coverage" in captured
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-proofengine"]])
+def test_atpg_tests_skip_proven_redundant_faults(
+    tmp_path, monkeypatch, capsys, flags
+):
+    """Test generation runs PODEM only on the undetected faults that
+    the redundancy classification did not already prove untestable."""
+    from repro import cli
+    from repro.atpg import (
+        Podem,
+        collapsed_faults,
+        fault_coverage,
+        random_vectors,
+        redundant_faults,
+    )
+    from repro.circuits import ripple_carry_adder
+    from repro.fuzz.plant import plant_redundancies
+    from repro.io import write_blif
+
+    text = write_blif(
+        plant_redundancies(ripple_carry_adder(2), plants=2, seed=3).circuit
+    )
+    path = tmp_path / "planted.blif"
+    path.write_text(text)
+    circuit = parse_blif(text)
+    faults = collapsed_faults(circuit)
+    undetected = fault_coverage(
+        circuit, faults, random_vectors(circuit, 64, seed=0)
+    ).undetected_faults
+    redundant = set(redundant_faults(circuit, faults))
+    assert redundant and redundant <= set(undetected)
+
+    searched = []
+
+    class CountingPodem(Podem):
+        def generate(self, fault):
+            searched.append(fault)
+            return super().generate(fault)
+
+    monkeypatch.setattr(cli, "Podem", CountingPodem)
+    assert main(["atpg", str(path), "--tests"] + flags) == 0
+    assert searched == [f for f in undetected if f not in redundant]
+    assert "fault coverage" in capsys.readouterr().out
+
+
 def test_table1_quick(capsys):
     assert main(["table1", "--which", "csa", "--quick"]) == 0
     captured = capsys.readouterr().out
