@@ -90,7 +90,7 @@ class KmsResult:
     duplicated_gates: int = 0
     #: deterministic work counters (arrival_relaxations,
     #: paths_enumerated, viability_checks_exact,
-    #: viability_checks_prefiltered, cube_cache_hits, paths_capped,
+    #: viability_checks_prefiltered, viability_core_hits, paths_capped,
     #: plus the cleanup phase's redundancy-proof counters listed in
     #: :data:`repro.atpg.proofengine.PROOF_COUNTERS`); the engine
     #: exports these through telemetry and the CI perf gates compare
@@ -146,8 +146,8 @@ def kms(
             timing engine (:class:`repro.timing.IncrementalTiming`) --
             arrival times and path counts are re-relaxed only in the
             fanout of mutated gates, path checks go through the
-            bit-parallel witness prefilter and the fingerprint-keyed cube
-            cache.  ``False`` keeps the from-scratch recompute per
+            bit-parallel witness prefilter and the fingerprint-keyed
+            UNSAT core store.  ``False`` keeps the from-scratch recompute per
             iteration; both take bit-identical decisions, so the full
             mode is the A/B oracle for the incremental one.
         prefilter: optional sweep-level precomputed first-epoch grading
@@ -200,7 +200,7 @@ def kms(
         "paths_enumerated",
         "viability_checks_exact",
         "viability_checks_prefiltered",
-        "cube_cache_hits",
+        "viability_core_hits",
         "paths_capped",
     ) + HIER_COUNTERS + PROOF_COUNTERS + ARENA_COUNTERS:
         counters[name] = 0
@@ -306,8 +306,10 @@ def _find_unsensitizable_longest_path(
     path is sensitizable/viable (loop exit condition).
 
     With ``timing`` (incremental mode) path checks go through the
-    prefilter/cache/exact funnel; without it, every check is an exact
+    witness/core-store/exact funnel; without it, every check is an exact
     SAT query on a freshly built checker.  Both give the same booleans.
+    Either way only zero-slack edges are expanded: no shorter path can
+    be a longest one.
     """
     if timing is not None:
         test = timing.check_path
@@ -329,9 +331,9 @@ def _find_unsensitizable_longest_path(
 
     candidates: List[Path] = []
     count = 0
-    for path in iter_paths_longest_first(work, model, annotation):
-        if path.length < annotation.delay - 1e-9:
-            break
+    for path in iter_paths_longest_first(
+        work, model, annotation, min_length=annotation.delay
+    ):
         count += 1
         if count > max_longest_paths:
             counters["paths_capped"] += 1

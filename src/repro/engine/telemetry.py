@@ -38,9 +38,9 @@ the incremental timing engine (see :mod:`repro.timing.incremental` and
 (per-gate STA recomputations, forward and backward),
 ``paths_enumerated`` (longest paths popped from the enumerator),
 ``viability_checks_exact`` / ``viability_checks_prefiltered`` /
-``cube_cache_hits`` (how each path check was resolved: SAT solve,
-packed-simulation witness, or fingerprint-keyed cube cache), and
-``paths_capped`` (iterations whose path enumeration hit
+``viability_core_hits`` (how each path check was resolved: SAT solve,
+packed-simulation witness, or a stored fingerprint-keyed UNSAT core),
+and ``paths_capped`` (iterations whose path enumeration hit
 ``max_longest_paths``).  These are exact functions of circuit + seed --
 no wall-clock jitter -- which is what lets CI gate on them
 (``benchmarks/compare_baseline.py``, ``kms`` perf-gate row).

@@ -4,7 +4,10 @@ Implements the classic architecture -- two-watched-literal propagation,
 1UIP conflict analysis with clause learning, VSIDS-style activity decay,
 phase saving, geometric restarts, and *assumptions* so that one solver
 instance per circuit can answer many incremental queries (each ATPG or
-sensitization query is a solve-under-assumptions call).
+sensitization query is a solve-under-assumptions call).  After an UNSAT
+answer under assumptions, :meth:`Solver.core` names the subset of the
+assumptions that was jointly UNSAT (MiniSat's ``analyzeFinal``; Een &
+Sorensson, "An Extensible SAT-solver", 2003).
 
 This is deliberately self-contained: the reproduction builds every
 substrate from scratch, and the circuits involved (carry-skip adders,
@@ -108,6 +111,7 @@ class Solver:
         self._phase: List[bool] = [False]
         self._preferred: List[int] = []
         self._ok = True
+        self._core: Optional[List[int]] = None
         self.learned_cap = learned_cap
         self.stats = {
             "decisions": 0,
@@ -313,6 +317,50 @@ class Solver:
         learned[1], learned[max_i] = learned[max_i], learned[1]
         return learned, self._level[abs(learned[1])]
 
+    def _analyze_final(self, literals: Iterable[int]) -> List[int]:
+        """The assumptions that imply the negation of every literal given.
+
+        Walks the trail backwards from the falsified ``literals`` through
+        reason clauses; every variable reached that was set by a decision
+        is an assumption (only assumption levels are on the trail when
+        this runs), so its trail literal joins the core.  Root-level
+        assignments are facts of the formula and never join it.
+        """
+        seen = set()
+        for lit in literals:
+            var = abs(lit)
+            if self._level[var] > 0:
+                seen.add(var)
+        core: List[int] = []
+        if not seen:
+            return core
+        for index in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
+            lit = self._trail[index]
+            var = abs(lit)
+            if var not in seen:
+                continue
+            reason = self._reason[var]
+            if reason is None:
+                core.append(lit)
+            else:
+                for q in reason:
+                    if abs(q) != var and self._level[abs(q)] > 0:
+                        seen.add(abs(q))
+        core.reverse()
+        return core
+
+    def core(self) -> List[int]:
+        """Failed-assumption core of the last ``False`` :meth:`solve`.
+
+        A subset of that call's assumptions which, together with the
+        formula, is already UNSAT; empty when the formula is UNSAT on its
+        own.  Not shrunk to minimality -- callers wanting a minimal core
+        delete literals and re-solve.
+        """
+        if self._core is None:
+            raise RuntimeError("core() needs a preceding UNSAT solve")
+        return list(self._core)
+
     def _clause_score(self, clause: List[int]) -> float:
         """Activity proxy for a learned clause: mean variable activity.
 
@@ -408,10 +456,12 @@ class Solver:
 
         Returns True (SAT), False (UNSAT under these assumptions), or None
         if ``conflict_limit`` was exhausted.  After True, :meth:`model`
-        gives a satisfying assignment.
+        gives a satisfying assignment; after False, :meth:`core` gives the
+        failed assumptions.
         """
         global _SOLVE_CALLS
         _SOLVE_CALLS += 1
+        self._core = []
         if not self._ok:
             return False
         self._backtrack(0)
@@ -429,11 +479,13 @@ class Solver:
                 conflicts_seen += 1
                 if conflict_limit is not None and conflicts_seen > conflict_limit:
                     self._backtrack(0)
+                    self._core = None
                     return None
                 if not self._trail_lim:
                     return False  # conflict at root: truly UNSAT
                 if len(self._trail_lim) <= len(assumptions):
                     # conflict forced purely by assumptions
+                    self._core = self._analyze_final(conflict)
                     self._backtrack(0)
                     return False
                 learned, back_level = self._analyze(conflict)
@@ -461,6 +513,8 @@ class Solver:
                 self._ensure_var(abs(lit))
                 val = self._value(lit)
                 if val == FALSE:
+                    # already refuted by the earlier assumptions
+                    self._core = self._analyze_final([lit]) + [lit]
                     self._backtrack(0)
                     return False
                 self._trail_lim.append(len(self._trail))
@@ -469,6 +523,7 @@ class Solver:
                 continue
             lit = self._decide()
             if lit == 0:
+                self._core = None
                 return True  # all variables assigned
             self.stats["decisions"] += 1
             self._trail_lim.append(len(self._trail))

@@ -12,17 +12,26 @@ the three incremental facilities the loop needs:
   :mod:`repro.network.transform`, re-relaxing arrival times and
   longest-path counts only in the transitive fanout/fanin of mutated
   gates;
-* **bit-parallel witness prefilter** -- once per iteration, 64 random
-  patterns are simulated in one packed word per gate
-  (:func:`repro.sim.parallel.simulate_packed`); any pattern that puts
-  every constrained side-input at its noncontrolling value *is* a
-  sensitization/viability witness, so the exact SAT cube computation is
-  skipped entirely for that path;
-* **cube memoization** -- exact verdicts are cached keyed by the content
-  fingerprints (:mod:`repro.engine.hashing`) of the constrained signals.
-  Fingerprints are canonical over the signal's whole fanin cone *and* the
-  PI interface positions, so equal keys mean the same SAT question: cones
-  untouched by an iteration reuse their cubes across iterations for free.
+* **bit-parallel witness prefilter** -- 64 random patterns simulated
+  in one packed word per gate (lazily, on the iteration's first check,
+  seeded by the iteration number); any pattern that puts every
+  constrained side-input at its required value *is* a
+  sensitization/viability witness, so the path is decided without SAT;
+* **UNSAT core store** -- after an exact UNSAT verdict the solver's
+  failed-assumption core is shrunk by deletion to a minimal set of
+  constraints no input pattern meets together, and stored as
+  ``(fingerprint, value)`` pairs over the content fingerprints of
+  :mod:`repro.engine.hashing`.  Fingerprints are canonical over a
+  signal's whole fanin cone *and* the PI interface positions, so equal
+  fingerprints compute the same function: a core stays a proof across
+  iterations and mutations, in static and viability mode alike, and any
+  later constraint set containing a stored core is UNSAT without a
+  solve.
+
+The witness runs first because it is the cheaper miss: a core lookup
+needs the iteration's fingerprints, and in the loop's last iteration
+(the one that finds a sensitizable path) re-hashing the last mutation's
+cone buys nothing.  Fingerprints are only read once a core exists.
 
 Counter semantics (all deterministic; exported via
 :class:`repro.core.kms.KmsResult` counters and engine telemetry):
@@ -32,22 +41,23 @@ Counter semantics (all deterministic; exported via
   gate per direction);
 * ``viability_checks_prefiltered`` -- path checks resolved by the packed
   simulation witness alone;
-* ``cube_cache_hits`` -- path checks resolved from the fingerprint-keyed
-  cube cache;
+* ``viability_core_hits`` -- path checks resolved UNSAT by a stored
+  core;
 * ``viability_checks_exact`` -- path checks that fell through to a SAT
-  solve.
+  solve (the deletion solves that shrink its core are not counted
+  separately).
 
-The prefilter and cache decide the same booleans SAT would (the witness
-is sound, and a fingerprint-equal constraint set is the same question),
-so the incremental loop takes bit-identical decisions to the full
-recompute -- the A/B oracle ``kms(..., incremental=False)`` and the
-property suite assert exactly that.
+A core is a proof of UNSAT and a witness is a satisfying pattern, so
+the funnel decides the same booleans SAT would, and the incremental
+loop takes bit-identical decisions to the full recompute -- the A/B
+oracle ``kms(..., incremental=False)`` and the property suites assert
+exactly that.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..network import Circuit
 from ..sat import CircuitEncoder, Solver
@@ -63,6 +73,9 @@ PREFILTER_WIDTH = 64
 #: Constraint list: (source gid, required settled value) pairs.
 Constraints = List[Tuple[int, int]]
 
+#: (fingerprint, value) pairs that no input pattern meets together.
+Core = FrozenSet[Tuple[str, int]]
+
 
 class _ExactOracle:
     """One Tseitin encoding + solver for the current circuit state.
@@ -76,23 +89,37 @@ class _ExactOracle:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
         encoder = CircuitEncoder()
         self.var = encoder.encode(circuit)
         self.solver = Solver(encoder.cnf)
 
-    def solve(self, constraints: Constraints) -> Optional[Dict[int, int]]:
-        lits = [
-            self.var[src] if value else -self.var[src]
+    def unsat_core(self, constraints: Constraints) -> Optional[Constraints]:
+        """None when some input pattern meets every constraint; else a
+        minimal subset of the constraints that no pattern meets.
+
+        The solver's failed-assumption core is shrunk by deletion: drop
+        one constraint and re-solve; if still UNSAT, keep the new
+        (smaller) core, else the dropped constraint is necessary.  A
+        constraint found necessary stays necessary in every UNSAT subset,
+        so one pass leaves each survivor necessary.
+        """
+        by_lit = {
+            (self.var[src] if value else -self.var[src]): (src, value)
             for src, value in constraints
-        ]
-        if self.solver.solve(lits):
-            model = self.solver.model()
-            return {
-                gid: int(model.get(self.var[gid], False))
-                for gid in self.circuit.inputs
-            }
-        return None
+        }
+        solver = self.solver
+        if solver.solve(list(by_lit)):
+            return None
+        pending = solver.core()
+        needed: List[int] = []
+        while pending:
+            lit = pending.pop()
+            if solver.solve(needed + pending):
+                needed.append(lit)
+            else:
+                kept = set(solver.core())
+                pending = [q for q in pending if q in kept]
+        return [by_lit[lit] for lit in needed]
 
 
 class IncrementalTiming:
@@ -100,10 +127,11 @@ class IncrementalTiming:
 
     One instance lives for a whole :func:`repro.core.kms.kms` run over
     the mutating working circuit.  Per iteration the loop calls
-    :meth:`begin_iteration` (refreshing the packed simulation and the
-    lazily built SAT oracle), reads :meth:`annotation`, tests candidate
-    paths with :meth:`check_path`, and after the structural edits calls
-    :meth:`refresh` with the union of the transforms' touched-gate sets.
+    :meth:`begin_iteration` (a new witness seed; the packed simulation
+    and the SAT oracle are rebuilt lazily), reads :meth:`annotation`,
+    tests candidate paths with :meth:`check_path`, and after the
+    structural edits calls :meth:`refresh` with the union of the
+    transforms' touched-gate sets.
     """
 
     def __init__(
@@ -136,12 +164,13 @@ class IncrementalTiming:
         self._fps: Optional[Dict[int, str]] = (
             None if self._arena is not None else gate_fingerprints(circuit)
         )
-        #: cache key -> (verdict, cube by PI position or None)
-        self.cube_cache: Dict[tuple, Optional[Dict[int, int]]] = {}
+        #: learned UNSAT cores, each minimal
+        self.cores: List[Core] = []
         self.viability_checks_exact = 0
         self.viability_checks_prefiltered = 0
-        self.cube_cache_hits = 0
+        self.viability_core_hits = 0
         self._iteration = 0
+        self._sim_seed: Optional[int] = None
         self._sim: Optional[Dict[int, int]] = None
         self._oracle: Optional[_ExactOracle] = None
         self._annotation: Optional[TimingAnnotation] = None
@@ -160,25 +189,9 @@ class IncrementalTiming:
     # ------------------------------------------------------------------ #
 
     def begin_iteration(self) -> None:
-        """Start one Fig. 3 iteration: fresh packed patterns, lazy oracle.
-
-        The witness simulation routes through the compiled kernel
-        (:mod:`repro.sim.kernel`) -- the schedule is compiled once and
-        recompiled only when :meth:`refresh` reports structural edits;
-        ``REPRO_SIM_LEGACY`` forces the interpreted ``simulate_packed``
-        as the A/B oracle.  Either path is bit-identical.
-        """
-        rng = random.Random((self.seed << 20) ^ self._iteration)
-        from ..sim import get_compiled, kernel_enabled, random_packed_inputs
-        from ..sim import simulate_packed
-
-        packed = random_packed_inputs(self.circuit, PREFILTER_WIDTH, rng)
-        if kernel_enabled():
-            self._sim = get_compiled(self.circuit).evaluate(
-                packed, PREFILTER_WIDTH
-            )
-        else:
-            self._sim = simulate_packed(self.circuit, packed, PREFILTER_WIDTH)
+        """Start one Fig. 3 iteration: new witness seed, lazy oracle."""
+        self._sim_seed = (self.seed << 20) ^ self._iteration
+        self._sim = None
         self._oracle = None
         self._annotation = None
         self._iteration += 1
@@ -200,7 +213,7 @@ class IncrementalTiming:
         self._annotation = None
 
     # ------------------------------------------------------------------ #
-    # path checking: prefilter -> cube cache -> exact SAT
+    # path checking: witness prefilter -> core store -> exact SAT
     # ------------------------------------------------------------------ #
 
     def path_constraints(self, path: Path) -> Constraints:
@@ -225,16 +238,24 @@ class IncrementalTiming:
         if self._witness_bits(constraints):
             self.viability_checks_prefiltered += 1
             return True
-        key = self._cache_key(constraints)
-        if key in self.cube_cache:
-            self.cube_cache_hits += 1
-            return self.cube_cache[key] is not None
+        if self.cores:
+            fps = self.fingerprints
+            pairs = {(fps[src], value) for src, value in constraints}
+            for core in self.cores:
+                if core <= pairs:
+                    self.viability_core_hits += 1
+                    return False
         if self._oracle is None:
             self._oracle = _ExactOracle(self.circuit)
-        cube = self._oracle.solve(constraints)
         self.viability_checks_exact += 1
-        self.cube_cache[key] = self._cube_by_position(cube)
-        return cube is not None
+        core = self._oracle.unsat_core(constraints)
+        if core is None:
+            return True
+        fps = self.fingerprints
+        self.cores.append(
+            frozenset((fps[src], value) for src, value in core)
+        )
+        return False
 
     def witness_cube(self, path: Path) -> Optional[Dict[int, int]]:
         """A witness PI cube for a path the prefilter can resolve, else
@@ -244,42 +265,48 @@ class IncrementalTiming:
         if not word:
             return None
         bit = (word & -word).bit_length() - 1
-        assert self._sim is not None
-        return {
-            gid: (self._sim[gid] >> bit) & 1 for gid in self.circuit.inputs
-        }
+        sim = self._simulation()
+        return {gid: (sim[gid] >> bit) & 1 for gid in self.circuit.inputs}
+
+    def _simulation(self) -> Optional[Dict[int, int]]:
+        """This iteration's 64 packed random patterns, simulated on
+        first use (None before the first :meth:`begin_iteration`).
+
+        The simulation routes through the compiled kernel
+        (:mod:`repro.sim.kernel`) -- the schedule is compiled once and
+        recompiled only when :meth:`refresh` reports structural edits;
+        ``REPRO_SIM_LEGACY`` forces the interpreted ``simulate_packed``
+        as the A/B oracle.  Either path is bit-identical.
+        """
+        if self._sim is None and self._sim_seed is not None:
+            from ..sim import get_compiled, kernel_enabled
+            from ..sim import random_packed_inputs, simulate_packed
+
+            rng = random.Random(self._sim_seed)
+            packed = random_packed_inputs(self.circuit, PREFILTER_WIDTH, rng)
+            if kernel_enabled():
+                self._sim = get_compiled(self.circuit).evaluate(
+                    packed, PREFILTER_WIDTH
+                )
+            else:
+                self._sim = simulate_packed(
+                    self.circuit, packed, PREFILTER_WIDTH
+                )
+        return self._sim
 
     def _witness_bits(self, constraints: Constraints) -> int:
         """Packed word of patterns satisfying every constraint."""
-        if self._sim is None:
+        sim = self._simulation()
+        if sim is None:
             return 0
         mask = (1 << PREFILTER_WIDTH) - 1
         word = mask
         for src, value in constraints:
-            bits = self._sim[src]
+            bits = sim[src]
             word &= bits if value else ~bits & mask
             if not word:
                 return 0
         return word
-
-    def _cache_key(self, constraints: Constraints) -> tuple:
-        fps = self.fingerprints
-        return (
-            self.mode,
-            tuple(sorted((fps[src], value) for src, value in constraints)),
-        )
-
-    def _cube_by_position(
-        self, cube: Optional[Dict[int, int]]
-    ) -> Optional[Dict[int, int]]:
-        """Store cubes by PI *position* so a cached entry survives gid
-        renumbering (fingerprints canonicalize over positions too)."""
-        if cube is None:
-            return None
-        return {
-            i: cube.get(gid, 0)
-            for i, gid in enumerate(self.circuit.inputs)
-        }
 
     # ------------------------------------------------------------------ #
     # fingerprint maintenance
@@ -338,7 +365,7 @@ class IncrementalTiming:
             "dist_relaxations": self.sta.dist_relaxations,
             "viability_checks_exact": self.viability_checks_exact,
             "viability_checks_prefiltered": self.viability_checks_prefiltered,
-            "cube_cache_hits": self.cube_cache_hits,
+            "viability_core_hits": self.viability_core_hits,
         }
         hier_counters = getattr(self.sta, "counters", None)
         if hier_counters is not None:

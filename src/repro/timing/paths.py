@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -108,6 +109,8 @@ def iter_paths_longest_first(
     model: Optional[DelayModel] = None,
     annotation: Optional[TimingAnnotation] = None,
     max_paths: Optional[int] = None,
+    *,
+    min_length: Optional[float] = None,
 ) -> Iterator[Path]:
     """Yield IO-paths in nonincreasing length order, lazily.
 
@@ -116,9 +119,18 @@ def iter_paths_longest_first(
     (hence admissible and consistent) bound on the best completion, so
     paths pop in sorted order.  Paths through constants (which never
     transition) are excluded.
+
+    ``min_length`` restricts the search to paths at least that long (up
+    to the usual ``1e-9`` float tolerance): a partial path whose exact
+    bound falls short is never pushed, so with the topological delay as
+    ``min_length`` only zero-slack edges are expanded.  Entries that are
+    pushed keep their relative tie-break order, so the paths yielded --
+    and their order -- are exactly the unrestricted enumeration's prefix
+    of paths that long.
     """
     model = model if model is not None else AsBuiltDelayModel()
     ann = annotation if annotation is not None else analyze(circuit, model)
+    floor = -math.inf if min_length is None else min_length - 1e-9
     counter = itertools.count()
     heap: List[tuple] = []
     for pi in circuit.inputs:
@@ -126,6 +138,8 @@ def iter_paths_longest_first(
             continue
         prefix = model.input_arrival(circuit, pi)
         priority = prefix + ann.dist_to_po[pi]
+        if priority < floor:
+            continue
         heapq.heappush(
             heap, (-priority, next(counter), pi, pi, (), (), prefix)
         )
@@ -157,6 +171,8 @@ def iter_paths_longest_first(
                 circuit, dst
             )
             new_prefix = prefix + step
+            if new_prefix + down < floor:
+                continue
             dst_gate = circuit.gates[dst]
             new_gates = (
                 gates if dst_gate.gtype is GateType.OUTPUT else gates + (dst,)
@@ -184,9 +200,6 @@ def longest_paths(
     """
     model = model if model is not None else AsBuiltDelayModel()
     ann = analyze(circuit, model)
-    result: List[Path] = []
-    for path in iter_paths_longest_first(circuit, model, ann, max_paths):
-        if path.length < ann.delay - 1e-9:
-            break
-        result.append(path)
-    return result
+    return list(iter_paths_longest_first(
+        circuit, model, ann, max_paths, min_length=ann.delay
+    ))

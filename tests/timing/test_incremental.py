@@ -3,7 +3,7 @@
 The randomized agreement guarantees live in
 ``test_incremental_property.py``; here each moving part is exercised in
 isolation: dirty-cone relaxation counts, the packed-simulation witness
-prefilter, the fingerprint-keyed cube cache, and the
+prefilter, the fingerprint-keyed UNSAT core store, and the
 ``paths_capped`` warning on truncated path enumeration.
 """
 
@@ -63,7 +63,7 @@ def test_incremental_sta_annotation_is_a_snapshot():
 
 
 # ---------------------------------------------------------------------- #
-# check_path: prefilter -> cube cache -> exact SAT
+# check_path: witness prefilter -> core store -> exact SAT
 # ---------------------------------------------------------------------- #
 
 def _timing_and_paths(mode):
@@ -108,39 +108,63 @@ def test_prefilter_witness_cube_is_sound():
     assert witnessed > 0, "expected the 64-pattern prefilter to hit"
 
 
-def test_cube_cache_serves_repeated_checks():
-    circuit, timing, paths = _timing_and_paths("static")
+def _hard_paths(circuit, paths):
     checker = SensitizationChecker(circuit)
     hard = [p for p in paths if not checker.is_sensitizable(p)]
     assert hard, "carry-skip adders have false paths"
-    path = hard[0]
-    assert timing.check_path(path) is False
-    exact_after_first = timing.viability_checks_exact
-    assert exact_after_first == 1
-    assert timing.check_path(path) is False
-    assert timing.viability_checks_exact == exact_after_first
-    assert timing.cube_cache_hits == 1
-    # a fresh iteration re-randomizes patterns but keeps the cache
-    timing.begin_iteration()
-    assert timing.check_path(path) is False
-    assert timing.viability_checks_exact == exact_after_first
-    assert timing.cube_cache_hits == 2
+    return hard
 
 
-def test_cube_cache_survives_untouched_cone_mutations():
+def test_core_store_serves_repeated_hard_path():
     circuit, timing, paths = _timing_and_paths("static")
-    checker = SensitizationChecker(circuit)
-    hard = [p for p in paths if not checker.is_sensitizable(p)]
-    path = hard[0]
+    path = _hard_paths(circuit, paths)[0]
+    assert timing.check_path(path) is False
+    assert timing.viability_checks_exact == 1
+    assert len(timing.cores) == 1
+    assert timing.check_path(path) is False
+    assert timing.viability_checks_exact == 1
+    assert timing.viability_core_hits == 1
+
+
+def test_core_store_survives_refresh_and_new_iteration():
+    circuit, timing, paths = _timing_and_paths("static")
+    path = _hard_paths(circuit, paths)[0]
     timing.check_path(path)
-    # touch a cone disjoint from the path's side inputs: re-fingerprint,
-    # then the same constraint key must still hit
-    keys_before = set(timing.cube_cache)
+    cores = list(timing.cores)
     timing.refresh(set())
     timing.begin_iteration()
-    timing.check_path(path)
-    assert timing.cube_cache_hits >= 1
-    assert keys_before <= set(timing.cube_cache)
+    assert timing.check_path(path) is False
+    assert timing.viability_checks_exact == 1
+    assert timing.viability_core_hits == 1
+    assert timing.cores == cores
+
+
+def test_core_resolves_a_different_path_containing_it():
+    circuit = carry_skip_adder(4, 1)
+    timing = IncrementalTiming(circuit, MODEL, mode="static")
+    timing.begin_iteration()
+    paths = list(iter_paths_longest_first(
+        circuit, MODEL, timing.annotation(), max_paths=50
+    ))
+    first = _hard_paths(circuit, paths)[0]
+    assert timing.check_path(first) is False
+    (core,) = timing.cores
+    fps = timing.fingerprints
+
+    def pairs(path):
+        return {(fps[src], v) for src, v in timing.path_constraints(path)}
+
+    # the core is a proper subset of the path's constraints ...
+    assert core < pairs(first)
+    others = [
+        p for p in paths if p != first and pairs(p) != pairs(first)
+        and core <= pairs(p)
+    ]
+    assert others, "expected another longest path sharing the core"
+    # ... so a different path containing it needs no solve
+    assert timing.check_path(others[0]) is False
+    assert timing.viability_checks_exact == 1
+    assert timing.viability_core_hits == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -65,6 +65,37 @@ class TestEnumeration:
         expected = sum(count_paths(pi) for pi in c.inputs)
         assert len(enumerated) == expected
 
+    @given(seed=st.integers(0, 60), cut=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_min_length_yields_the_unrestricted_prefix(self, seed, cut):
+        """Zero-slack pruning changes which entries are pushed, never
+        which paths come out or in what order (ties included)."""
+        c = random_circuit(num_inputs=4, num_gates=14, seed=seed,
+                           max_arrival=float(seed % 3))
+        ann = analyze(c)
+        floor = ann.delay - cut
+
+        def key(p):
+            return (p.source, p.gates, p.conns, p.sink, p.length)
+
+        full = [
+            key(p) for p in iter_paths_longest_first(c, annotation=ann)
+            if p.length >= floor - 1e-9
+        ]
+        pruned = [
+            key(p) for p in iter_paths_longest_first(
+                c, annotation=ann, min_length=floor
+            )
+        ]
+        assert pruned == full
+
+    def test_min_length_above_delay_yields_nothing(self):
+        c = random_circuit(num_inputs=4, num_gates=14, seed=2)
+        ann = analyze(c)
+        assert not list(iter_paths_longest_first(
+            c, annotation=ann, min_length=ann.delay + 1
+        ))
+
     def test_max_paths_truncates(self):
         c = random_circuit(num_inputs=5, num_gates=25, seed=7)
         assert (
